@@ -17,7 +17,10 @@ different files.  This pass builds a lightweight whole-program view of
    properties.
 
 2. **Call resolution** — lexical, no type inference: ``self.f`` binds
-   to the enclosing class; bare names bind to same-module functions or
+   to the enclosing class (or, if it has no ``f``, the nearest declared
+   base defining one, in any module) plus every override in its
+   subclasses; ``mod.f`` binds to the function of an imported ``repro``
+   module; bare names bind to same-module functions or
    class constructors; other receivers are matched through
    :data:`RECEIVER_HINTS` (the repo's naming idiom: ``db`` is always
    the Database, ``bufmgr`` the buffer pool, ...).  Unknown receivers
@@ -212,6 +215,30 @@ def _classify_with_expr(expr: ast.AST,
     return None
 
 
+def _module_imports(tree: ast.Module, rels: set[str]) -> dict[str, str]:
+    """alias -> module rel for every ``repro`` module *tree* imports
+    (``from repro.lo import metadata``, ``import repro.lo.metadata as m``)."""
+    table: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module \
+                and not node.level:
+            pairs = [(a.asname or a.name, f"{node.module}.{a.name}")
+                     for a in node.names]
+        elif isinstance(node, ast.Import):
+            pairs = [(a.asname, a.name) for a in node.names if a.asname]
+        else:
+            continue
+        for alias, dotted_name in pairs:
+            parts = dotted_name.split(".")
+            if parts[0] != "repro":
+                continue
+            path = "/".join(parts[1:])
+            for rel in (f"{path}.py", f"{path}/__init__.py"):
+                if rel in rels:
+                    table[alias] = rel
+    return table
+
+
 @dataclass
 class FunctionEntry:
     """One function/method with its extracted event tree."""
@@ -335,9 +362,14 @@ class Project:
         self.functions: list[FunctionEntry] = []
         self.by_name: dict[str, list[FunctionEntry]] = {}
         self.classes: dict[str, list[str]] = {}  # class -> module rels
+        self.bases: dict[str, set[str]] = {}  # class -> declared bases
+        #: module rel -> {alias: rel of the imported repro module}
+        self.imports: dict[str, dict[str, str]] = {}
+        rels = {module.rel for module in modules}
         for module in modules:
             mutex_map = _mutex_map(module.tree)
             self._extract_module(module, mutex_map)
+            self.imports[module.rel] = _module_imports(module.tree, rels)
         for fn in self.functions:
             self.by_name.setdefault(fn.name, []).append(fn)
         self._heavy_memo: dict[int, list[_Acq]] = {}
@@ -351,6 +383,9 @@ class Project:
                 if isinstance(child, ast.ClassDef):
                     self.classes.setdefault(child.name, []).append(
                         module.rel)
+                    self.bases.setdefault(child.name, set()).update(
+                        dotted(base).rsplit(".", 1)[-1]
+                        for base in child.bases if dotted(base))
                     visit(child, child.name)
                 elif isinstance(child, (ast.FunctionDef,
                                         ast.AsyncFunctionDef)):
@@ -390,11 +425,20 @@ class Project:
             own = [fn for fn in candidates
                    if fn.cls == caller.cls
                    and fn.module is caller.module]
+            if not own:
+                own = self._inherited(caller.cls, candidates, set())
+            # Dispatch may land on any override in a subclass.
+            subclasses = self._subclasses(caller.cls)
+            own += [fn for fn in candidates if fn.cls in subclasses]
             if own:
                 return own
             # Possibly inherited: any class in the same module.
             return [fn for fn in candidates if fn.cls is not None
                     and fn.module is caller.module]
+        module_rel = self.imports[caller.module.rel].get(receiver)
+        if module_rel is not None:  # mod.f() on an imported module
+            return [fn for fn in candidates
+                    if fn.cls is None and fn.module.rel == module_rel]
         if receiver is None:
             local = [fn for fn in candidates
                      if fn.cls is None and fn.module is caller.module]
@@ -410,6 +454,33 @@ class Project:
                     and any(h in fn.cls for h in hints)]
         return [fn for fn in candidates
                 if fn.module is caller.module and fn.cls is not None]
+
+    def _inherited(self, cls: str, candidates: list[FunctionEntry],
+                   seen: set[str]) -> list[FunctionEntry]:
+        """Methods in *candidates* that *cls* inherits: the nearest
+        declared base (in any module) that defines one."""
+        for base in self.bases.get(cls, ()):
+            if base in seen:
+                continue
+            seen.add(base)
+            found = [fn for fn in candidates if fn.cls == base]
+            if not found:
+                found = self._inherited(base, candidates, seen)
+            if found:
+                return found
+        return []
+
+    def _subclasses(self, cls: str) -> set[str]:
+        """Every class declaring *cls* as a base, transitively."""
+        out: set[str] = set()
+        frontier = [cls]
+        while frontier:
+            parent = frontier.pop()
+            for child, bases in self.bases.items():
+                if parent in bases and child not in out:
+                    out.add(child)
+                    frontier.append(child)
+        return out
 
     # -- transitive summaries -------------------------------------------
 

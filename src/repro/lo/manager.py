@@ -163,17 +163,16 @@ class LargeObjectManager:
         if entry is None:
             return
         if entry.impl == "vsegment":
-            self._drop_relations(oid, segment_class_name,
-                                 segment_index_name)
+            self._drop_relations(segment_class_name(oid))
             store_oid = (entry.detail or {}).get("store_oid")
             if store_oid is not None:
                 self._undo_create(store_oid)
         else:
-            self._drop_relations(oid, chunk_class_name, chunk_index_name)
+            self._drop_relations(chunk_class_name(oid))
         self.db.catalog.drop_large_object(oid)
 
-    def _drop_relations(self, oid: int, class_name_fn, index_name_fn):
-        name = class_name_fn(oid)
+    def _drop_relations(self, name: str) -> None:
+        """Drop class *name* and its B-tree (``drop_class`` takes both)."""
         if self.db.class_exists(name):
             self.db.drop_class(name)
 
@@ -381,12 +380,12 @@ class LargeObjectManager:
             self.db.delete(txn, PG_LARGEOBJECT, row.tid)
         # Drop the relations (DDL).
         if entry.impl == "vsegment":
-            self._drop_relations(oid, segment_class_name, segment_index_name)
+            self._drop_relations(segment_class_name(oid))
             store_oid = (entry.detail or {}).get("store_oid")
             if store_oid is not None:
                 self._unlink_chunked(txn, store_oid)
         else:
-            self._drop_relations(oid, chunk_class_name, chunk_index_name)
+            self._drop_relations(chunk_class_name(oid))
         self.db.catalog.drop_large_object(oid)
 
     # -- introspection ----------------------------------------------------------------------------

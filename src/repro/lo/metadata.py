@@ -91,11 +91,15 @@ def write_size(db: "Database", txn: "Transaction", oid: int,
     only for callers holding the whole-object ``[0, inf)`` range lock
     (truncate), where a shrink is legitimate and no concurrent writer can
     exist.
+
+    The epoch is sampled *before* the row is read: a neighbour that
+    commits after the read then moves the epoch past the sample, and the
+    row is re-read under the lock instead of being replaced while stale.
     """
+    epoch = db.clog.visibility_epoch
     row = size_row(db, oid, db.snapshot(txn))
     if not exact and row.values[1] >= size:
         return  # our high-water mark is already (or about to be) merged
-    epoch = db.clog.visibility_epoch
     db.locks.acquire(txn.xid, ("losize", oid), LockMode.EXCLUSIVE)
     if db.clog.visibility_epoch != epoch:
         # The lock waited out another committer; re-read under the lock.

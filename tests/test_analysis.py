@@ -661,6 +661,53 @@ class TestR009BlockingUnderMutex:
         assert report.findings == []
 
 
+class TestCallResolution:
+    """Summaries over the shipped tree must follow the calls that take
+    the large-object locks: ``self`` methods inherited from a base in
+    another module, and ``module.function()`` calls."""
+
+    @pytest.fixture(scope="class")
+    def summaries(self):
+        from repro.analysis.core import ModuleInfo, iter_python_files
+        from repro.analysis.lockdep import Project
+
+        paths = iter_python_files([REPO_ROOT / "src" / "repro"])
+        project = Project([ModuleInfo(p, p.read_text()) for p in paths])
+        return {(fn.cls, fn.name): {acq.lock_class for acq in
+                                    project.heavy_summary(fn)}
+                for fn in project.functions if fn.cls is not None}
+
+    @pytest.mark.parametrize("cls", ["FChunkObject", "VSegmentObject"])
+    def test_inherited_range_locks_are_seen(self, summaries, cls):
+        assert "lock:largeobject" in summaries[(cls, "_write_at")]
+
+    @pytest.mark.parametrize("cls", ["FChunkObject", "VSegmentObject"])
+    def test_module_function_size_lock_is_seen(self, summaries, cls):
+        assert "lock:losize" in summaries[(cls, "flush")]
+
+    def test_inherited_call_resolves_across_modules(self, tmp_path):
+        write_module(tmp_path, "lo/base.py", """\
+            class Base:
+                def _lock(self, locks, txn, oid):
+                    locks.acquire(txn, ("losize", oid), "EXCLUSIVE")
+        """)
+        write_module(tmp_path, "lo/child.py", """\
+            from repro.lo.base import Base
+            from repro.txn.lockdep import LockdepMutex
+
+            class Child(Base):
+                def __init__(self):
+                    self._mutex = LockdepMutex("mutex:txn")
+
+                def bad(self, locks, txn, oid):
+                    with self._mutex:
+                        self._lock(locks, txn, oid)
+        """)
+        report = analyze_paths([tmp_path], [get_rule("R009")])
+        assert [f.rule for f in report.findings] == ["R009"]
+        assert "Child.bad -> " in report.findings[0].message
+
+
 class TestUnusedSuppressions:
     def test_stale_suppression_reported(self, tmp_path):
         source = """\

@@ -14,13 +14,6 @@ import pytest
 from repro.db import Database
 
 
-@pytest.fixture
-def db():
-    database = Database(pool_size=64, charge_cpu=False)
-    yield database
-    database.close()
-
-
 IMPLS = ["fchunk", "vsegment"]
 
 
@@ -35,11 +28,21 @@ def make_object(db, impl, payload=b""):
 
 @pytest.mark.parametrize("impl", IMPLS)
 class TestFastModeSemantics:
+    #: Clock of the fixture database; TestChargedModeSemantics reruns
+    #: every case with the simulated clock charging.
+    charge_cpu = False
+
+    @pytest.fixture
+    def db(self):
+        database = Database(pool_size=64, charge_cpu=self.charge_cpu)
+        yield database
+        database.close()
+
     def test_fast_gate_is_on(self, db, impl):
-        assert db.bufmgr.cpu is None
+        assert (db.bufmgr.cpu is None) is not self.charge_cpu
         designator = make_object(db, impl, b"x" * 100)
         with db.lo.open(designator) as obj:
-            assert obj._fast is True
+            assert obj._fast is not self.charge_cpu
 
     def test_sequential_write_read(self, db, impl):
         frames = [bytes([i % 251]) * 4096 for i in range(40)]
@@ -141,6 +144,14 @@ class TestFastModeSemantics:
         reader.seek(0)
         assert reader.read(15_000) == b"L" * 15_000
         reader.close()
+
+
+class TestChargedModeSemantics(TestFastModeSemantics):
+    """The same cases under the simulated clock, where every fast path
+    is gated off: the memo and no-memo branches of the chunked-object
+    core must give the same answers."""
+
+    charge_cpu = True
 
 
 class TestChargedModeUnaffected:

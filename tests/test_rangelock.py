@@ -205,3 +205,36 @@ class TestRangeLocking:
         assert stats["range_locks"] == 1
         assert stats["range_waits"] == 0
         lm.release_all(1)
+
+
+class TestSizeRowMerge:
+    def test_neighbour_commit_between_read_and_lock(self, monkeypatch):
+        """``write_size`` must not replace a size row a neighbour retired
+        after it was read: the neighbour's commit lands between the
+        first read and the ``losize`` lock, and the merge re-reads."""
+        from repro.db import Database
+        from repro.lo import metadata
+        from repro.lo.manager import designator_oid
+
+        db = Database(pool_size=64)
+        with db.begin() as txn:
+            oid = designator_oid(db.lo.create(txn, "fchunk"))
+        real_size_row = metadata.size_row
+        interleaved = []
+
+        def size_row(db_, oid_, snapshot):
+            row = real_size_row(db_, oid_, snapshot)
+            if not interleaved:
+                interleaved.append(True)
+                with db.begin() as neighbour:
+                    metadata.write_size(db, neighbour, oid, 500)
+            return row
+
+        monkeypatch.setattr(metadata, "size_row", size_row)
+        with db.begin() as txn:
+            metadata.write_size(db, txn, oid, 300)
+        monkeypatch.undo()
+        assert interleaved
+        with db.begin() as txn:
+            assert metadata.read_size(db, oid, db.snapshot(txn)) == 500
+        db.close()
