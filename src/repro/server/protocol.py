@@ -17,6 +17,15 @@ Responses always carry ``"ok"``: ``true`` plus reply fields on
 success, ``false`` plus ``"error"`` (exception class name) and
 ``"message"`` on failure.  :mod:`repro.server.client` maps error names
 back onto the :mod:`repro.errors` hierarchy.
+
+Any request that addresses a descriptor (``"fd"``) may carry an
+optional ``"seek"`` field: an absolute position the server applies to
+that descriptor before running the command.  ``ServerClient`` defers
+``lo_seek(fd, off)`` into it when the seek cannot fail (``off >= 0``,
+``SEEK_SET``, *fd* opened on this connection and not closed since), so
+"seek, then read" is one round trip.  Every other seek still goes out
+as its own ``lo_seek`` request, and clients that always send
+``lo_seek`` keep working unchanged.
 """
 
 from __future__ import annotations

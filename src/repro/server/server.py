@@ -259,6 +259,10 @@ class ReproServer:
             raise LargeObjectError(
                 f"bad large-object descriptor {header.get('fd')!r} "
                 f"(command {cmd!r})")
+        if "seek" in header:
+            # An absolute seek the client deferred into this request;
+            # it applies before the command, as if sent just ahead of it.
+            handle.seek(header["seek"])
         if cmd == "lo_read":
             return {}, handle.read(header.get("nbytes", -1))
         if cmd == "lo_write":

@@ -151,72 +151,98 @@ def _safe_name(fileid: str) -> str:
 class DiskBlockStore(BlockStore):
     """Blocks in ordinary OS files, one ``<safe_name>.rel`` per file.
 
-    Writes seek to ``blockno * PAGE_SIZE`` unconditionally, so a store
+    Writes land at ``blockno * PAGE_SIZE`` unconditionally, so a store
     holding only a shard of a file is simply sparse — the OS materializes
     the holes as zeros and :meth:`nblocks` still lands on the true tail.
+
+    The store is its files' only writer, so it keeps their metadata in
+    memory: each file's path, an unbuffered descriptor, and its block
+    count (read once with ``getsize``, moved forward by :meth:`write`,
+    dropped by :meth:`create`/:meth:`unlink`/:meth:`close`).  A warm
+    block read or write is one ``pread``/``pwrite`` and no ``stat``.
+    The caches take no lock of their own: their read-modify-write steps
+    (opening a descriptor, moving a count forward) run only inside block
+    I/O, which callers serialize (the buffer pool's latch, the sharded
+    manager's mutex).
     """
 
     def __init__(self, directory: str):
         self.directory = directory
         os.makedirs(directory, exist_ok=True)
-        self._handles: dict[str, object] = {}
+        self._paths: dict[str, str] = {}
+        self._fds: dict[str, int] = {}
+        self._nblocks: dict[str, int] = {}
 
     def _path(self, fileid: str) -> str:
-        return os.path.join(self.directory, _safe_name(fileid) + ".rel")
+        path = self._paths.get(fileid)
+        if path is None:
+            path = self._paths[fileid] = os.path.join(
+                self.directory, _safe_name(fileid) + ".rel")
+        return path
 
-    def _open(self, fileid: str):
-        handle = self._handles.get(fileid)
-        if handle is None or handle.closed:
-            path = self._path(fileid)
-            if not os.path.exists(path):
+    def _fd(self, fileid: str) -> int:
+        fd = self._fds.get(fileid)
+        if fd is None:
+            try:
+                fd = os.open(self._path(fileid), os.O_RDWR)
+            except FileNotFoundError:
                 raise StorageManagerError(
-                    f"relation file {fileid!r} does not exist")
-            handle = open(path, "r+b")
-            self._handles[fileid] = handle
-        return handle
+                    f"relation file {fileid!r} does not exist") from None
+            self._fds[fileid] = fd
+        return fd
 
     def create(self, fileid: str) -> None:
-        path = self._path(fileid)
-        if not os.path.exists(path):
-            with open(path, "wb"):
-                pass
+        self._nblocks.pop(fileid, None)
+        os.close(os.open(self._path(fileid), os.O_RDWR | os.O_CREAT))
 
     def exists(self, fileid: str) -> bool:
-        return os.path.exists(self._path(fileid))
+        return (fileid in self._nblocks
+                or os.path.exists(self._path(fileid)))
 
     def unlink(self, fileid: str) -> None:
-        handle = self._handles.pop(fileid, None)
-        if handle is not None and not handle.closed:
-            handle.close()
-        path = self._path(fileid)
-        if os.path.exists(path):
-            os.remove(path)
+        self._nblocks.pop(fileid, None)
+        fd = self._fds.pop(fileid, None)
+        if fd is not None:
+            os.close(fd)
+        try:
+            os.remove(self._path(fileid))
+        except FileNotFoundError:
+            pass
 
     def nblocks(self, fileid: str) -> int:
-        path = self._path(fileid)
-        if not os.path.exists(path):
-            raise StorageManagerError(
-                f"relation file {fileid!r} does not exist")
-        return os.path.getsize(path) // PAGE_SIZE
+        count = self._nblocks.get(fileid)
+        if count is None:
+            try:
+                size = os.path.getsize(self._path(fileid))
+            except FileNotFoundError:
+                raise StorageManagerError(
+                    f"relation file {fileid!r} does not exist") from None
+            count = self._nblocks[fileid] = size // PAGE_SIZE
+        return count
 
     def read(self, fileid: str, blockno: int) -> bytearray:
-        handle = self._open(fileid)
-        handle.seek(blockno * PAGE_SIZE)
-        data = bytearray(handle.read(PAGE_SIZE))
+        data = bytearray(os.pread(self._fd(fileid), PAGE_SIZE,
+                                  blockno * PAGE_SIZE))
         if len(data) < PAGE_SIZE:  # sparse tail
             data.extend(bytes(PAGE_SIZE - len(data)))
         return data
 
     def write(self, fileid: str, blockno: int, data: bytes) -> None:
-        handle = self._open(fileid)
-        handle.seek(blockno * PAGE_SIZE)
-        handle.write(data)
+        fd = self._fd(fileid)
+        view = memoryview(data)
+        offset = blockno * PAGE_SIZE
+        while view:
+            written = os.pwrite(fd, view, offset)
+            view = view[written:]
+            offset += written
+        count = self._nblocks.get(fileid)
+        if count is not None and blockno >= count:
+            self._nblocks[fileid] = blockno + 1
 
     def sync(self, fileid: str) -> None:
-        handle = self._handles.get(fileid)
-        if handle is not None and not handle.closed:
-            handle.flush()
-            os.fsync(handle.fileno())
+        fd = self._fds.get(fileid)
+        if fd is not None:
+            os.fsync(fd)
 
     def files(self) -> list[str]:
         # Safe names are identical to the file id for every id the engine
@@ -227,10 +253,10 @@ class DiskBlockStore(BlockStore):
                       if entry.endswith(".rel"))
 
     def close(self) -> None:
-        for handle in self._handles.values():
-            if not handle.closed:
-                handle.close()
-        self._handles.clear()
+        for fd in self._fds.values():
+            os.close(fd)
+        self._fds.clear()
+        self._nblocks.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,3 @@ class DiskStorageManager(NodeAddressedManager):
         self.nodes = [StorageNode("disk0", store, model, clock,
                                   port=self.port)]
         self.directory = directory
-        #: Cached OS file handles (owned by the store; aliased for tests).
-        self._handles = store._handles
-
-    def _path(self, fileid: str) -> str:
-        return self.nodes[0].store._path(fileid)

@@ -1,7 +1,13 @@
 """Tests for the figure-harness plumbing (small scale, fast)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.bench.figures import (
     BenchConfig,
     _fresh_db,
@@ -132,3 +138,29 @@ class TestConfigScaling:
     def test_worm_cache_scales(self):
         assert BenchConfig(scale=1.0).scaled_worm_cache() == 3200
         assert BenchConfig(scale=0.1).scaled_worm_cache() == 320
+
+
+#: ``repro-bench fig1 fig2 fig3 --scale 0.02`` as committed.  The
+#: simulated figures are deterministic, so any change that moves a
+#: charge (a cost model, the smgr or storage path, the operation order)
+#: shows up here as a byte diff.
+GOLDEN_FIGURES = Path(__file__).parent / "golden" / "figures_scale0.02.txt"
+
+
+def test_simulated_figures_match_golden():
+    """Regenerate the small-scale figures in a fresh interpreter (no
+    state from other tests) and compare them byte for byte.
+
+    After a deliberate, explained cost-model change, regenerate with
+    ``repro-bench fig1 fig2 fig3 --scale 0.02 >
+    tests/golden/figures_scale0.02.txt``.
+    """
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-m", "repro.bench.cli", "fig1", "fig2", "fig3",
+         "--scale", "0.02"],
+        capture_output=True, env=env, timeout=300, check=True)
+    assert result.stdout == GOLDEN_FIGURES.read_bytes()

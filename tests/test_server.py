@@ -12,8 +12,9 @@ import threading
 import pytest
 
 from repro.db import Database
-from repro.errors import (DeadlockError, LargeObjectNotFound,
-                          NoActiveTransaction, TransactionError)
+from repro.errors import (DeadlockError, InvalidSeek, LargeObjectError,
+                          LargeObjectNotFound, NoActiveTransaction,
+                          TransactionError)
 from repro.server import ReproServer, ServerClient
 from repro.server import protocol
 
@@ -196,6 +197,200 @@ class TestServerRoundTrip:
             stats = client.stats()
             assert "range_locks" in stats["locks"]
             assert "range_waits" in stats["locks"]
+
+
+@pytest.fixture
+def requests(monkeypatch):
+    """Commands the client sends, in order (server replies excluded)."""
+    sent = []
+    real = protocol.send_message
+
+    def counting(sock, header, body=b""):
+        if "cmd" in header:
+            sent.append(header)
+        return real(sock, header, body)
+
+    monkeypatch.setattr(protocol, "send_message", counting)
+    return sent
+
+
+def _object(client, data=b"0123456789abcdef"):
+    """A committed f-chunk object holding *data*; returns its designator."""
+    client.begin()
+    designator = client.lo_create("fchunk")
+    fd = client.lo_open(designator, "rw")
+    client.lo_write(fd, data)
+    client.commit()
+    return designator
+
+
+def _raises_from_seek(client, requests, fd, offset, whence, cls):
+    """``lo_seek`` itself raises exactly *cls* after one request."""
+    before = len(requests)
+    with pytest.raises(LargeObjectError) as excinfo:
+        client.lo_seek(fd, offset, whence)
+    assert type(excinfo.value) is cls
+    assert [h["cmd"] for h in requests[before:]] == ["lo_seek"]
+
+
+@pytest.mark.server
+class TestDeferredSeek:
+    """Absolute seeks ride on the next request for their descriptor."""
+
+    def test_seek_read_and_seek_write_are_one_request(self, served,
+                                                      requests):
+        _db, server = served
+        with ServerClient(*server.address) as client:
+            designator = _object(client)
+            client.begin()
+            fd = client.lo_open(designator, "rw")
+            del requests[:]
+            assert client.lo_seek(fd, 4) == 4
+            assert client.lo_read(fd, 3) == b"456"
+            assert len(requests) == 1
+            assert requests[0]["cmd"] == "lo_read"
+            assert requests[0]["seek"] == 4
+            del requests[:]
+            client.lo_seek(fd, 10)
+            assert client.lo_write(fd, b"XY") == 2
+            assert [h["cmd"] for h in requests] == ["lo_write"]
+            client.lo_seek(fd, 0)
+            assert client.lo_read(fd) == b"0123456789XYcdef"
+            client.commit()
+
+    def test_tell_after_deferred_seek(self, served, requests):
+        _db, server = served
+        with ServerClient(*server.address) as client:
+            designator = _object(client)
+            client.begin()
+            fd = client.lo_open(designator)
+            client.lo_seek(fd, 7)
+            client.lo_seek(fd, 9)  # the last target wins
+            del requests[:]
+            assert client.lo_tell(fd) == 9
+            assert len(requests) == 1
+            assert client.lo_tell(fd) == 9
+            assert "seek" not in requests[-1]  # sent once, then cleared
+            client.rollback()
+
+    def test_interleaved_descriptors_keep_their_positions(self, served):
+        _db, server = served
+        with ServerClient(*server.address) as client:
+            designator = _object(client)
+            client.begin()
+            a = client.lo_open(designator)
+            b = client.lo_open(designator)
+            client.lo_seek(a, 2)
+            client.lo_seek(b, 12)
+            assert client.lo_read(b, 2) == b"cd"
+            assert client.lo_read(a, 2) == b"23"
+            client.lo_seek(b, 0)
+            assert client.lo_tell(a) == 4
+            assert client.lo_read(b, 1) == b"0"
+            # A relative seek applies the pending absolute one first.
+            client.lo_seek(a, 8)
+            assert client.lo_seek(a, 1, 1) == 9
+            assert client.lo_seek(b, -1, 2) == 15
+            client.rollback()
+
+    @pytest.mark.parametrize("ending", ["lo_close", "commit", "rollback"])
+    def test_pending_seek_dies_with_the_descriptor(self, served, requests,
+                                                   ending):
+        _db, server = served
+        with ServerClient(*server.address) as client:
+            designator = _object(client)
+            client.begin()
+            fd = client.lo_open(designator, "rw")
+            client.lo_seek(fd, 5)
+            del requests[:]
+            if ending == "lo_close":
+                client.lo_close(fd)
+            else:
+                getattr(client, ending)()
+            assert "seek" not in requests[-1]
+            assert client._fds == {}
+            # The descriptor is gone on both ends: a seek on it now goes
+            # to the server and fails there, and a new descriptor starts
+            # at 0 with nothing pending.
+            if ending != "lo_close":
+                client.begin()
+            _raises_from_seek(client, requests, fd, 3, 0, LargeObjectError)
+            fresh = client.lo_open(designator)
+            assert client.lo_tell(fresh) == 0
+            assert client.lo_read(fresh, 2) == b"01"
+            client.rollback()
+
+    def test_truncate_without_size_uses_deferred_position(self, served,
+                                                          requests):
+        _db, server = served
+        with ServerClient(*server.address) as client:
+            designator = _object(client)
+            client.begin()
+            fd = client.lo_open(designator, "rw")
+            client.lo_seek(fd, 6)
+            del requests[:]
+            assert client.lo_truncate(fd) == 6
+            assert [h["cmd"] for h in requests] == ["lo_truncate"]
+            assert client.lo_size(fd) == 6
+            client.commit()
+            client.begin()
+            fd = client.lo_open(designator)
+            assert client.lo_read(fd) == b"012345"
+            client.rollback()
+
+    def test_failing_seeks_raise_from_lo_seek(self, served, requests):
+        _db, server = served
+        with ServerClient(*server.address) as client:
+            designator = _object(client)
+            client.begin()
+            fd = client.lo_open(designator)
+            _raises_from_seek(client, requests, fd, -1, 0, InvalidSeek)
+            _raises_from_seek(client, requests, fd, -1, 1, InvalidSeek)
+            _raises_from_seek(client, requests, fd, -17, 2, InvalidSeek)
+            _raises_from_seek(client, requests, fd, 0, 7, InvalidSeek)
+            _raises_from_seek(client, requests, 999, 0, 0, LargeObjectError)
+            # A failed seek leaves the position where it was.
+            assert client.lo_tell(fd) == 0
+            client.lo_close(fd)
+            _raises_from_seek(client, requests, fd, 0, 0, LargeObjectError)
+            fd = client.lo_open(designator)
+            client.commit()
+            _raises_from_seek(client, requests, fd, 0, 0, LargeObjectError)
+            client.begin()
+            fd = client.lo_open(designator)
+            client.rollback()
+            _raises_from_seek(client, requests, fd, 0, 0, LargeObjectError)
+
+
+def test_timed_out_call_drops_the_connection(served):
+    """A reply still in flight after a timeout is never read as the
+    answer to a later call: the client drops the connection instead."""
+    db, server = served
+    with ServerClient(*server.address) as holder:
+        designator = _object(holder, b"committed")
+        holder.begin()
+        fd = holder.lo_open(designator, "rw")
+        holder.lo_write(fd, b"C")  # holds the range lock on grain 0
+        client = ServerClient(*server.address, timeout=0.5)
+        try:
+            client.begin()
+            mine = client.lo_open(designator, "rw")
+            with pytest.raises(OSError):
+                client.lo_write(mine, b"W")  # blocks behind the holder
+            holder.rollback()  # the blocked write now completes
+            threading.Event().wait(0.3)  # and its reply reaches the socket
+            with pytest.raises(ConnectionError):
+                client.lo_read(mine, 1)
+            with pytest.raises(ConnectionError):
+                client.ping()
+        finally:
+            client.close()
+    deadline = 200
+    while db.statistics()["transactions"]["active"] and deadline:
+        deadline -= 1
+        threading.Event().wait(0.01)
+    assert db.statistics()["transactions"]["active"] == 0
+    assert db.locks.grant_table_empty()
 
 
 def _append_loop(address, designator, thread_no, count, failures):

@@ -1,6 +1,11 @@
 """Unit tests for the storage managers and the storage-manager switch."""
 
+import os
+import tempfile
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import (
     StorageManagerError,
@@ -15,6 +20,8 @@ from repro.smgr import (
     StorageManagerSwitch,
     WormStorageManager,
 )
+from repro.smgr.base import DiskBlockStore
+from repro.smgr.sharded import sharded_disk_manager
 from repro.storage.constants import PAGE_SIZE
 
 
@@ -118,6 +125,114 @@ class TestDiskSpecific:
         smgr.extend("t", block(1))
         smgr.write_block("t", 0, block(9))
         assert bytes(smgr.read_block("t", 0)) == block(9)
+
+
+#: One step of a store's life: (op, file, block hint).
+STORE_OPS = st.lists(
+    st.tuples(st.sampled_from(["create", "write", "write", "unlink",
+                               "close", "reopen"]),
+              st.sampled_from(["a", "b"]),
+              st.integers(min_value=0, max_value=6)),
+    max_size=40)
+
+
+class TestDiskStoreMetadata:
+    """The store caches paths, descriptors and block counts; the cache
+    must always agree with the file system."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(STORE_OPS)
+    def test_cached_metadata_matches_the_filesystem(self, ops):
+        with tempfile.TemporaryDirectory() as directory:
+            store = DiskBlockStore(directory)
+            model: dict[str, dict[int, bytes]] = {}
+            try:
+                for step, (op, fileid, hint) in enumerate(ops):
+                    if op == "create":
+                        store.create(fileid)
+                        model.setdefault(fileid, {})
+                    elif op == "write" and fileid in model:
+                        blockno = hint % (store.nblocks(fileid) + 1)
+                        data = block(step % 251 + 1)
+                        store.write(fileid, blockno, data)
+                        model[fileid][blockno] = data
+                    elif op == "unlink":
+                        store.unlink(fileid)
+                        model.pop(fileid, None)
+                    elif op == "close":
+                        store.close()  # the same store keeps working
+                    elif op == "reopen":
+                        store.close()
+                        store = DiskBlockStore(directory)
+                    for name in ("a", "b"):
+                        path = os.path.join(directory, name + ".rel")
+                        assert store.exists(name) == os.path.exists(path)
+                        assert store.exists(name) == (name in model)
+                        if name in model:
+                            assert store.nblocks(name) == \
+                                os.path.getsize(path) // PAGE_SIZE
+                            assert store.nblocks(name) == len(model[name])
+                            for blockno, data in model[name].items():
+                                assert bytes(store.read(name, blockno)) \
+                                    == data
+            finally:
+                store.close()
+
+    def test_sparse_store_reports_true_tail(self, tmp_path):
+        store = DiskBlockStore(str(tmp_path / "node"))
+        store.create("t")
+        store.write("t", 5, block(5))
+        assert store.nblocks("t") == 6
+        assert bytes(store.read("t", 2)) == bytes(PAGE_SIZE)  # a hole
+        store.write("t", 3, block(3))  # below the tail: no change
+        assert store.nblocks("t") == 6
+        store.close()
+        assert DiskBlockStore(str(tmp_path / "node")).nblocks("t") == 6
+
+    def test_sharded_nodes_report_true_tail_after_reopen(self, tmp_path):
+        directory = str(tmp_path / "shard")
+        first = sharded_disk_manager(directory, SimClock(), n_nodes=3,
+                                     replication=1)
+        first.create("t")
+        for blockno in range(40):  # bands of 16 over three nodes
+            first.write_block("t", blockno, block(blockno + 1))
+        tails = [node.store.nblocks("t") for node in first.nodes]
+        first.close()
+        second = sharded_disk_manager(directory, SimClock(), n_nodes=3,
+                                      replication=1)
+        assert second.nblocks("t") == 40
+        assert [node.store.nblocks("t") for node in second.nodes] == tails
+        assert sorted(tails)[-1] == 40 and len(set(tails)) == 3
+        assert bytes(second.read_block("t", 39)) == block(40)
+        second.close()
+
+    def test_warm_block_io_makes_no_stat_calls(self, tmp_path,
+                                               monkeypatch):
+        smgr = DiskStorageManager(str(tmp_path / "d"), SimClock())
+        smgr.create("t")
+        smgr.extend("t", block(1))
+        smgr.read_block("t", 0)  # warm: count and descriptor cached
+        calls = []
+        real_stat = os.stat
+
+        def counting_stat(*args, **kwargs):
+            calls.append(args[0])
+            return real_stat(*args, **kwargs)
+
+        monkeypatch.setattr(os, "stat", counting_stat)
+        for i in range(50):
+            smgr.write_block("t", i + 1, block(i + 2))  # extends
+            smgr.write_block("t", i // 2, block(i))     # overwrites
+        for i in range(100):
+            smgr.read_block("t", i % 51)
+        smgr.sync("t")
+        assert smgr.nblocks("t") == 51
+        assert smgr.exists("t")
+        monkeypatch.undo()
+        assert calls == []
+        assert os.path.getsize(str(tmp_path / "d" / "t.rel")) == \
+            51 * PAGE_SIZE
+        smgr.close()
 
 
 class TestWormSpecific:
