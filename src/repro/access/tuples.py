@@ -55,11 +55,6 @@ class HeapTuple:
     values: tuple
     tid: TID | None = None
 
-    @property
-    def is_deleted(self) -> bool:
-        """Whether some transaction has stamped this version's xmax."""
-        return self.xmax != INVALID_XID
-
     def value(self, schema: Schema, name: str) -> Any:
         """Attribute *name*'s value under *schema*."""
         return self.values[schema.position(name)]

@@ -8,17 +8,22 @@ writers run in parallel, so the concurrency machinery is the same for
 both and lives here, once:
 
 * the descriptor state — deferred size, own high-water mark, held
-  range locks, the commit epoch last folded in, the before-commit flush
+  range locks, the commit epoch last checked, the before-commit flush
   hook, and the wall-clock gate ``_fast``;
-* folding sizes committed by other transactions into a writer's view
-  (:meth:`ChunkedObject._refresh_committed`);
+* the one staleness rule (:meth:`ChunkedObject._refresh_committed`):
+  every read, size and write path first compares
+  ``clog.visibility_epoch`` with the epoch this descriptor last saw.
+  When it has moved, everything cached under the old epoch is dropped —
+  read-only or writable, in or out of a transaction, on both clocks —
+  and a writable descriptor folds in the size other transactions
+  committed.  No memo keeps an epoch of its own;
 * grain-aligned EXCLUSIVE range locks and the whole-object lock;
-* the size read (with its read-only epoch memo) and the size-row flush;
+* the size read (with its read-only memo) and the size-row flush;
 * EOF-stable :meth:`ChunkedObject.append`.
 
 Subclasses supply the layout: the relation and index names, the lock
 bounds a byte span rounds out to (:meth:`ChunkedObject._lock_bounds`),
-and what to drop when the epoch moves
+and the memos to drop when the epoch moves
 (:meth:`ChunkedObject._on_epoch_moved`).
 """
 
@@ -79,7 +84,7 @@ class ChunkedObject(LargeObject):
         #: extent and land appends past the new EOF.
         self._own_high = 0
         # -- model-fidelity gate -------------------------------------------
-        # The fast paths (epoch-keyed memos, the f-chunk known-TID map,
+        # The fast paths (read-only memos, the f-chunk known-TID map,
         # v-segment append detection) skip B-tree probes and scans the
         # simulated cost model charges for, so they engage only when the
         # database runs in wall-clock mode (``charge_cpu=False`` →
@@ -87,12 +92,11 @@ class ChunkedObject(LargeObject):
         # identical operation stream they always did; see
         # docs/performance.md.
         self._fast = db.bufmgr.cpu is None
-        #: Read-only size memo: (clog.visibility_epoch, size).  Reusable
-        #: while nothing commits or aborts — and only for descriptors
-        #: outside a transaction, whose snapshots see committed state
-        #: only (an in-transaction descriptor also sees its own writes,
-        #: which the epoch cannot witness).
-        self._size_cache: tuple[int, int] | None = None
+        #: Read-only size memo, dropped when the epoch moves — and only
+        #: for descriptors outside a transaction, whose snapshots see
+        #: committed state only (an in-transaction descriptor also sees
+        #: its own writes, which the epoch cannot witness).
+        self._size_cache: int | None = None
         #: Byte spans this descriptor holds EXCLUSIVE range locks on
         #: (writable only); re-locking a covered span is a no-op.
         self._locked = IntervalSet()
@@ -119,23 +123,23 @@ class ChunkedObject(LargeObject):
             f"large object {self.oid}: {count} visible versions of "
             f"{self.unit} {key[0]} (snapshot anomaly)")
 
-    # -- range locking / concurrent-commit refresh --------------------------------
+    # -- staleness rule / range locking ------------------------------------------
 
     def _refresh_committed(self, force: bool = False) -> None:
-        """Fold size changes committed by *other* transactions into this
-        writable descriptor's view.
+        """Drop state other transactions' commits made stale; the one
+        epoch check at the top of every read, size and write path.
 
         Gated on ``CommitLog.visibility_epoch``: while nothing commits or
         aborts anywhere, this is one integer compare (so single-writer
         runs — including the simulated figure workloads — never pay an
-        extra size probe).  When the epoch has moved, the committed size
-        is re-read and the pending size becomes max(committed, own
-        writes) — both directions, since a neighbour's committed
-        *truncate* legitimately shrinks it.  Without this, a writer whose
-        neighbour committed an extension would see a stale EOF and
-        zero-fill a "gap" right over the neighbour's committed bytes.
-        :meth:`_on_epoch_moved` then drops whatever the subclass cached
-        that a concurrent committer may have retired.
+        extra probe).  When the epoch has moved, the size memo and
+        everything :meth:`_on_epoch_moved` names are dropped, for every
+        descriptor.  A writable descriptor also re-reads the committed
+        size, and its pending size becomes max(committed, own writes) —
+        both directions, since a neighbour's committed *truncate*
+        legitimately shrinks it.  Without this, a writer whose neighbour
+        committed an extension would see a stale EOF and zero-fill a
+        "gap" right over the neighbour's committed bytes.
 
         Once this descriptor holds the whole-object lock, no other
         transaction can commit a size change (every write path locks a
@@ -145,21 +149,23 @@ class ChunkedObject(LargeObject):
         committed size.  ``force`` is the one-time fold performed while
         *acquiring* that lock.
         """
-        if self._pending_size is None:  # read-only: epoch-keyed memos
-            return
         if self._whole_locked and not force:
             return
         epoch = self.db.clog.visibility_epoch
         if epoch == self._commit_epoch and not force:
             return
         self._commit_epoch = epoch
-        committed = metadata.read_size(self.db, self.oid, self._snapshot())
-        self._pending_size = max(committed, self._own_high)
-        self._on_epoch_moved(committed)
+        self._size_cache = None
+        if self._pending_size is not None:
+            committed = metadata.read_size(self.db, self.oid,
+                                           self._snapshot())
+            self._pending_size = max(committed, self._own_high)
+        self._on_epoch_moved()
 
-    def _on_epoch_moved(self, committed: int) -> None:
-        """Drop per-descriptor state a concurrent commit may have made
-        stale; *committed* is the freshly read committed size."""
+    def _on_epoch_moved(self) -> None:
+        """Drop the subclass memos a concurrent commit may have made
+        stale (a writable descriptor's pending size is already
+        refreshed)."""
 
     @abstractmethod
     def _lock_bounds(self, start: int, end: int) -> tuple[int, int]:
@@ -199,20 +205,14 @@ class ChunkedObject(LargeObject):
     # -- size row ------------------------------------------------------------------
 
     def _size(self) -> int:
+        self._refresh_committed()
         if self._pending_size is not None:
-            # Another transaction's committed append may have grown the
-            # object past what this writer last saw (epoch-gated no-op
-            # in the common single-writer case).
-            self._refresh_committed()
             return self._pending_size
         if self._fast and self.txn is None:
-            epoch = self.db.clog.visibility_epoch
-            cached = self._size_cache
-            if cached is not None and cached[0] == epoch:
-                return cached[1]
-            size = metadata.read_size(self.db, self.oid, self._snapshot())
-            self._size_cache = (epoch, size)
-            return size
+            if self._size_cache is None:
+                self._size_cache = metadata.read_size(self.db, self.oid,
+                                                      self._snapshot())
+            return self._size_cache
         return metadata.read_size(self.db, self.oid, self._snapshot())
 
     def _flush_size(self) -> None:
@@ -275,9 +275,7 @@ class ChunkedObject(LargeObject):
         an extension, so progress is guaranteed.
         """
         while True:
-            self._refresh_committed()
             start = self._size()
             self._lock_span(start, start + length)
-            self._refresh_committed()
             if self._size() == start:
                 return start

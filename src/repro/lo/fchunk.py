@@ -99,21 +99,22 @@ class FChunkObject(ChunkedObject):
         # Descriptor-level LRU of decompressed chunks, so streaming reads
         # uncompress each chunk once ("just-in-time" conversion without
         # repeating work for every frame in a chunk) and backward seeks
-        # within the window never re-inflate.
+        # within the window never re-inflate.  Dropped, like every memo
+        # below, by ``_on_epoch_moved`` when any transaction commits or
+        # aborts.
         self._read_cache: OrderedDict[int, bytes] = OrderedDict()
         #: Writer-only map seqno -> TID (or None = known absent), wall
         #: clock mode only.  Safe under range locking because every entry
-        #: is invalidated (and the absence baseline re-anchored to the
-        #: committed size) by ``_on_epoch_moved`` whenever any transaction
-        #: commits or aborts — see ``_refresh_committed``.
+        #: is dropped (and the absence baseline re-anchored to the
+        #: refreshed pending size) when the epoch moves.
         self._known_tids: dict[int, TID | None] | None = None
         self._baseline_chunks = 0
-        #: Read-only index memo: (epoch, seqno -> [TIDs of all entries]).
-        #: One leaf-chain walk replaces one range scan per read(); the
-        #: TIDs are re-checked for visibility on every use, so the memo
-        #: only trusts the epoch for *index membership* (vacuum bumps
-        #: the epoch when it prunes entries).
-        self._ro_entries: tuple[int, dict[int, list[TID]]] | None = None
+        #: Read-only index memo: seqno -> [TIDs of all entries].  One
+        #: leaf-chain walk replaces one range scan per read(); the TIDs
+        #: are re-checked for visibility on every use, so the memo only
+        #: stands for *index membership* (vacuum bumps the epoch when it
+        #: prunes entries).
+        self._ro_entries: dict[int, list[TID]] | None = None
         super().__init__(db, oid, compressor, txn, writable, as_of,
                          chunk_class_name(oid), chunk_index_name(oid))
         if writable and self._fast:
@@ -121,14 +122,18 @@ class FChunkObject(ChunkedObject):
             self._baseline_chunks = (
                 (self._pending_size + chunk_payload - 1) // chunk_payload)
 
-    def _on_epoch_moved(self, committed: int) -> None:
+    def _on_epoch_moved(self) -> None:
+        self._read_cache.clear()
+        self._ro_entries = None
         if self._known_tids is not None:
             self._known_tids.clear()
+            # Every visible chunk lies below the refreshed pending size:
+            # others' below the committed size, this descriptor's own
+            # below its high-water mark.
             payload = self.chunk_payload
             self._baseline_chunks = max(
                 self._baseline_chunks,
-                (committed + payload - 1) // payload)
-        self._read_cache.clear()
+                (self._pending_size + payload - 1) // payload)
 
     def _lock_bounds(self, start: int, end: int) -> tuple[int, int]:
         grain = self.chunk_payload * LOCK_GRAIN_CHUNKS
@@ -146,10 +151,6 @@ class FChunkObject(ChunkedObject):
         """
         known = self._known_tids
         if known is not None:
-            # Epoch-gated: drops entries a concurrent commit could have
-            # retired and re-anchors the absence baseline before either
-            # is trusted below.
-            self._refresh_committed()
             tid = known.get(seqno, _UNKNOWN)
             if tid is None:
                 return None
@@ -182,21 +183,6 @@ class FChunkObject(ChunkedObject):
             return None
         return self.compressor.decompress(tup.values[1])
 
-    def _chunk_bytes(self, seqno: int, snapshot: Snapshot) -> bytes | None:
-        """Chunk contents, honouring this descriptor's buffers."""
-        if seqno == self._buf_seqno:
-            return bytes(self._buf_data)
-        cached = self._read_cache.get(seqno)
-        if cached is not None:
-            self._cache_stats.read_cache_hits += 1
-            self._read_cache.move_to_end(seqno)
-            return cached
-        self._cache_stats.read_cache_misses += 1
-        data = self._stored_chunk_bytes(seqno, snapshot)
-        if data is not None:
-            self._cache_chunk(seqno, data)
-        return data
-
     def _cache_chunk(self, seqno: int, data: bytes) -> None:
         self._read_cache[seqno] = data
         self._read_cache.move_to_end(seqno)
@@ -223,22 +209,19 @@ class FChunkObject(ChunkedObject):
                 for key, tup in scan.visible(snapshot, wanted=wanted)}
 
     def _ro_entry_map(self) -> dict[int, list[TID]]:
-        """Raw index entries by seqno, epoch-cached (fast mode only).
+        """Raw index entries by seqno, memoized (fast mode only).
 
         Entries only — no heap fetch or decode — so building the memo
         costs one leaf-chain walk, not a pass over the object's data.
         """
-        epoch = self.db.clog.visibility_epoch
-        cached = self._ro_entries
-        if cached is not None and cached[0] == epoch:
-            return cached[1]
-        entries: dict[int, list[TID]] = {}
-        scan = IndexRangeScan(self.db, self.index, self.relation,
-                              None, None)
-        for key, tid in scan.entries():
-            entries.setdefault(key[0], []).append(tid)
-        self._ro_entries = (epoch, entries)
-        return entries
+        if self._ro_entries is None:
+            entries: dict[int, list[TID]] = {}
+            scan = IndexRangeScan(self.db, self.index, self.relation,
+                                  None, None)
+            for key, tid in scan.entries():
+                entries.setdefault(key[0], []).append(tid)
+            self._ro_entries = entries
+        return self._ro_entries
 
     def _ro_chunk_tuples(self, seqnos: list[int],
                          snapshot: Snapshot) -> dict[int, HeapTuple]:
@@ -339,8 +322,10 @@ class FChunkObject(ChunkedObject):
         The v-segment byte store reads through this: a segment record
         visible to the caller's snapshot proves its extent exists even
         when this store descriptor's pending size has not caught up with
-        another writer's committed appends.
+        another writer's committed appends.  It still runs the epoch
+        check first, so chunks cached before such a commit are dropped.
         """
+        self._refresh_committed()
         payload = self.chunk_payload
         first = offset // payload
         last = (end - 1) // payload

@@ -56,7 +56,8 @@ LOCK_GRAIN_BYTES = 16 * SEGMENT_MAX
 #: Decompressed segments kept per descriptor (up to ~256 KB).  Keyed by
 #: the record's TID: segment contents are immutable once written (the
 #: byte store only grows, and an overwrite appends *new* segments under
-#: *new* TIDs), so a TID-keyed entry can never go stale.
+#: *new* TIDs).  Vacuum frees slots that later inserts reuse, so the
+#: cache is still dropped with every other memo when the epoch moves.
 SEGMENT_CACHE_ENTRIES = 4
 
 
@@ -81,18 +82,22 @@ class VSegmentObject(ChunkedObject):
                  writable: bool, as_of: float | None = None):
         self.store = store
         # Descriptor-level LRU of decompressed segments (see
-        # SEGMENT_CACHE_ENTRIES for why TID keys are safe).
+        # SEGMENT_CACHE_ENTRIES for why TID keys are safe per epoch).
         self._segment_cache: OrderedDict[TID, bytes] = OrderedDict()
-        #: (epoch, records sorted by locn, their locns) — the whole
-        #: visible segment map, fetched with one range scan and then
-        #: answered with bisect until something commits (wall-clock
-        #: mode, read-only descriptors outside a transaction).
-        self._segmap_cache: tuple[int, list[HeapTuple],
+        #: (records sorted by locn, their locns) — the whole visible
+        #: segment map, fetched with one range scan and then answered
+        #: with bisect until the epoch moves (wall-clock mode, read-only
+        #: descriptors outside a transaction).
+        self._segmap_cache: tuple[list[HeapTuple],
                                   list[int]] | None = None
         super().__init__(db, oid, compressor, txn, writable, as_of,
                          segment_class_name(oid), segment_index_name(oid))
         # Closing the segment index closes the byte store under it.
         self.on_close.append(store.close)
+
+    def _on_epoch_moved(self) -> None:
+        self._segmap_cache = None
+        self._segment_cache.clear()
 
     def _lock_bounds(self, start: int, end: int) -> tuple[int, int]:
         """``[start, end)`` padded by SEGMENT_MAX (edge-segment merges)
@@ -136,25 +141,21 @@ class VSegmentObject(ChunkedObject):
         return found
 
     def _segment_map(self) -> tuple[list[HeapTuple], list[int]]:
-        """The whole visible segment map, epoch-cached (fast mode only).
+        """The whole visible segment map, memoized (fast mode only).
 
         One range scan over the entire index replaces one scan per read;
-        the memo stays valid until any transaction commits or aborts
-        (the epoch token), at which point it is rebuilt.  Only read-only
+        the memo stays valid until any transaction commits or aborts, at
+        which point the epoch check drops it.  Only read-only
         descriptors outside a transaction qualify — see ``_fast``.
         """
-        epoch = self.db.clog.visibility_epoch
-        cached = self._segmap_cache
-        if cached is not None and cached[0] == epoch:
-            return cached[1], cached[2]
-        scan = IndexRangeScan(self.db, self.index, self.relation,
-                              None, None,
-                              unique=True, anomaly=self._anomaly)
-        records = [tup for _key, tup in scan.visible(self._snapshot())]
-        records.sort(key=lambda t: t.values[0])
-        locns = [t.values[0] for t in records]
-        self._segmap_cache = (epoch, records, locns)
-        return records, locns
+        if self._segmap_cache is None:
+            scan = IndexRangeScan(self.db, self.index, self.relation,
+                                  None, None,
+                                  unique=True, anomaly=self._anomaly)
+            records = [tup for _key, tup in scan.visible(self._snapshot())]
+            records.sort(key=lambda t: t.values[0])
+            self._segmap_cache = (records, [t.values[0] for t in records])
+        return self._segmap_cache
 
     def _segment_bytes(self, record: HeapTuple) -> bytes:
         """Decompressed contents of one segment (LRU-cached)."""
@@ -215,11 +216,8 @@ class VSegmentObject(ChunkedObject):
         # holds [0, inf)) — so re-check after the grant and widen if the
         # locked span no longer reaches the new, lower EOF.
         while True:
-            self._refresh_committed()
-            size = self._size()
-            start = min(offset, size)
+            start = min(offset, self._size())
             self._lock_span(start, offset + len(data))
-            self._refresh_committed()
             if min(offset, self._size()) >= start:
                 break
         size = self._size()

@@ -1,16 +1,27 @@
 """Wall-clock fast paths must be invisible to semantics.
 
 A ``Database(charge_cpu=False)`` engages the model-fidelity-gated
-optimizations (f-chunk known-TID map, epoch-keyed size caches, the
+optimizations (f-chunk known-TID map, the read-only size memo, the
 v-segment segment-map memo, read-only entry memos — see
 docs/performance.md).  These tests drive the large-object surface in
-exactly that mode and check the answers stay byte-for-byte what the
-charged (figure) configuration produces: stale memos would show up here
-as wrong bytes, not as slow runs.
+exactly that mode, and again with the simulated clock charging, and
+check the answers stay byte-for-byte right: stale memos would show up
+here as wrong bytes, not as slow runs.
+
+Every descriptor's cached state — those memos and the decompressed
+chunk and segment caches both clocks use — goes stale by one rule,
+``ChunkedObject._refresh_committed``: when ``clog.visibility_epoch``
+moves, all of it is dropped.  The open-descriptor cases below check
+that rule from the reader's side, and the last test keeps every other
+module under ``repro/lo`` from growing an epoch check of its own.
 """
+
+import ast
+from pathlib import Path
 
 import pytest
 
+import repro.lo
 from repro.db import Database
 
 
@@ -53,27 +64,49 @@ class TestFastModeSemantics:
             assert obj.read(4096) == b""
 
     def test_open_descriptor_sees_commits(self, db, impl):
-        """Epoch-keyed memos must be invalidated by a commit that lands
-        while a read-only descriptor stays open.
-
-        (The reader deliberately never re-reads the bytes it read before
-        the commit: the descriptor-level decompressed-chunk LRU has
-        always been commit-oblivious by design — close and reopen to
-        drop it.  The size memo and TID/segment maps added for fast mode
-        are what must pick up the new state here.)"""
+        """A commit that lands while a read-only descriptor stays open
+        must reach every later read: the size, the chunk and segment
+        maps, and the bytes the reader had already read (and cached)
+        before the commit."""
         designator = make_object(db, impl, b"A" * 20_000)
         reader = db.lo.open(designator)
-        assert reader.read(100) == b"A" * 100  # memos now warm
+        assert reader.read(100) == b"A" * 100  # memos and caches warm
         with db.begin() as txn:
             with db.lo.open(designator, txn, "rw") as writer:
-                writer.seek(16_000)
+                writer.write(b"B" * 16_000)
                 writer.write(b"C" * 9_000)
         assert reader.size() == 25_000
-        reader.seek(16_000)
+        reader.seek(0)
+        assert reader.read(16_000) == b"B" * 16_000
         assert reader.read(9_000) == b"C" * 9_000
         reader.close()
         with db.lo.open(designator) as fresh:
-            assert fresh.read(25_000) == b"A" * 16_000 + b"C" * 9_000
+            assert fresh.read(25_000) == b"B" * 16_000 + b"C" * 9_000
+
+    def test_open_descriptors_see_committed_append(self, db, impl):
+        """A neighbour's committed append lands in the chunk every open
+        descriptor cached on its first read (for v-segment: the byte
+        store chunk holding the first segment).  Read-only descriptors
+        outside and inside a transaction and a writable descriptor must
+        all return the appended bytes, not the cached short chunk."""
+        designator = make_object(db, impl, b"O" * 1_000)
+        ro_txn = db.begin()
+        rw_txn = db.begin()
+        readers = [db.lo.open(designator),
+                   db.lo.open(designator, ro_txn),
+                   db.lo.open(designator, rw_txn, "rw")]
+        for obj in readers:
+            assert obj.read(1_000) == b"O" * 1_000
+        with db.begin() as txn:
+            with db.lo.open(designator, txn, "rw") as appender:
+                appender.seek(1_000)
+                appender.write(b"P" * 1_000)
+        for obj in readers:
+            assert obj.size() == 2_000
+            assert obj.read(1_000) == b"P" * 1_000
+            obj.close()
+        ro_txn.commit()
+        rw_txn.commit()
 
     def test_truncate_then_reextend(self, db, impl):
         designator = make_object(db, impl, b"D" * 30_000)
@@ -123,6 +156,45 @@ class TestFastModeSemantics:
         assert reader.read(25_000) == b"I" * 25_000
         reader.close()
 
+    def test_cached_bytes_do_not_outlive_slot_reuse(self, db, impl):
+        """Vacuum frees the slot of a superseded version and a later
+        write reuses it.  An open reader that cached bytes under that
+        slot's TID (the v-segment segment cache) must return the new
+        bytes, not the ones it cached before the sweep."""
+        designator = make_object(db, impl, b"Q" * 1_000)
+        reader = db.lo.open(designator)
+        assert reader.read(1_000) == b"Q" * 1_000
+        for fill in (b"R", b"S"):
+            with db.begin() as txn:
+                with db.lo.open(designator, txn, "rw") as obj:
+                    obj.write(fill * 1_000)
+            db.vacuum()
+        reader.seek(0)
+        assert reader.read(1_000) == b"S" * 1_000
+        reader.close()
+
+    def test_writer_revisits_own_chunk_after_unrelated_commit(self, db,
+                                                              impl):
+        """An unrelated commit moves the epoch while a writer holds a
+        chunk it inserted past the committed size.  Going back to that
+        chunk must update it, not find it absent and insert a second
+        version."""
+        designator = make_object(db, impl)
+        other = make_object(db, impl)
+        txn = db.begin()
+        with db.lo.open(designator, txn, "rw") as obj:
+            obj.write(b"X" * 8_000)
+            obj.write(b"Y" * 8_000)  # leaves the first chunk: flushed
+            with db.begin() as neighbour:
+                with db.lo.open(other, neighbour, "rw") as unrelated:
+                    unrelated.write(b"z")
+            obj.seek(100)
+            obj.write(b"W" * 10)
+        txn.commit()
+        with db.lo.open(designator) as reader:
+            assert reader.read(16_000) == (b"X" * 100 + b"W" * 10
+                                           + b"X" * 7_890 + b"Y" * 8_000)
+
     def test_writer_reads_own_buffered_writes(self, db, impl):
         designator = make_object(db, impl, b"J" * 10_000)
         with db.begin() as txn:
@@ -165,3 +237,18 @@ class TestChargedModeUnaffected:
                 assert obj.read(5_000) == b"N" * 5_000
         finally:
             db.close()
+
+
+def test_only_the_chunked_core_reads_the_epoch():
+    """Staleness is decided in one place: under ``repro/lo`` only the
+    chunked-object core and the size-row merge read
+    ``visibility_epoch``; every other module's memos are dropped through
+    ``ChunkedObject._on_epoch_moved``."""
+    readers = set()
+    for path in Path(repro.lo.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if any(isinstance(node, ast.Attribute)
+               and node.attr == "visibility_epoch"
+               for node in ast.walk(tree)):
+            readers.add(path.name)
+    assert readers == {"chunked.py", "metadata.py"}

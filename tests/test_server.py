@@ -440,6 +440,31 @@ def _verify_appends(db, designator, n_clients, count):
         assert seqs == list(range(count)), f"client {client_no}: {seqs}"
 
 
+@pytest.mark.server
+def test_open_reader_sees_neighbours_committed_append(served):
+    """Client A holds a v-segment object open in its transaction; client
+    B appends and commits.  A's next read returns B's bytes, not the
+    short byte-store chunk A's descriptor cached on its first read."""
+    _db, server = served
+    with ServerClient(*server.address) as a, \
+            ServerClient(*server.address) as b:
+        a.begin()
+        designator = a.lo_create("vsegment")
+        fd = a.lo_open(designator, "rw")
+        a.lo_write(fd, b"a" * 1_000)
+        a.commit()
+
+        a.begin()
+        fd = a.lo_open(designator, "r")
+        assert a.lo_read(fd, 1_000) == b"a" * 1_000
+        b.begin()
+        b_fd = b.lo_open(designator, "rw")
+        assert b.lo_append(b_fd, b"b" * 1_000) == 1_000
+        b.commit()
+        assert a.lo_read(fd, 1_000) == b"b" * 1_000
+        a.rollback()
+
+
 def test_four_concurrent_clients_smoke(served):
     """Tier-1 sized acceptance check: 4 socket clients, one object."""
     db, server = served
